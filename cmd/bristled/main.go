@@ -68,7 +68,6 @@ func main() {
 	gossip := flag.Duration("gossip", 2*time.Second, "anti-entropy gossip interval")
 	stats := flag.Duration("stats", 30*time.Second, "resilience counter log interval (0 = only at exit)")
 	opTimeout := flag.Duration("op-timeout", 30*time.Second, "deadline for each foreground protocol operation")
-	noPool := flag.Bool("no-pool", false, "disable the multiplexed connection pool (dial per request)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (enables mutex/block profiling)")
 	verbose := flag.Bool("v", false, "verbose protocol logging")
 	flag.Parse()
@@ -105,9 +104,6 @@ func main() {
 	}
 	if *region != "" {
 		opts = append(opts, live.WithRegion(*region, splitCSV(*regions)...))
-	}
-	if *noPool {
-		opts = append(opts, live.WithoutPool())
 	}
 	switch {
 	case *identitySeed != "":
@@ -168,7 +164,7 @@ func main() {
 	})
 	defer stopMaint()
 
-	prevStats := node.Stats()
+	prevCounts := counters.Snapshot()
 	var statsTick <-chan time.Time
 	if *stats > 0 {
 		t := time.NewTicker(*stats)
@@ -195,9 +191,12 @@ func main() {
 		case <-statsTick:
 			// Per-interval deltas show what the node is doing right now;
 			// cumulative totals only ever grow and bury the signal.
+			d := counters.Diff(prevCounts)
+			for k, v := range d {
+				prevCounts[k] += v
+			}
+			delta := formatDelta(d)
 			st := node.Stats()
-			delta := formatDelta(st.CountersDelta(prevStats))
-			prevStats = st
 			line := fmt.Sprintf("stats: Δ %s | %s", delta, gauges)
 			if len(st.Suspects) > 0 {
 				line += fmt.Sprintf(" suspects=%v", st.Suspects)

@@ -341,9 +341,6 @@ func (n *Network) Peer(id PeerID) *Peer {
 // PeerByMobileNode maps a mobile-ring node to its peer.
 func (n *Network) PeerByMobileNode(id overlay.NodeID) *Peer { return n.byMobile[id] }
 
-// PeerByStatNode maps a stationary-ring node to its peer.
-func (n *Network) PeerByStatNode(id overlay.NodeID) *Peer { return n.byStat[id] }
-
 // now returns the current virtual time (zero without a simulator).
 func (n *Network) now() simnet.Time {
 	if n.Sim != nil {

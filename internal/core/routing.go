@@ -197,13 +197,6 @@ func (n *Network) SendDirect(x, y *Peer) (SendStats, error) {
 	return ss, nil
 }
 
-// CachedState returns x's state-pair for y, if any (for tests and
-// diagnostics).
-func (n *Network) CachedState(x, y *Peer) (StatePair, bool) {
-	sp, ok := x.cache[y.ID]
-	return sp, ok
-}
-
 // Lookup returns the peer currently responsible for key on the mobile
 // layer without generating traffic (an oracle for tests and examples).
 func (n *Network) Lookup(key hashkey.Key) *Peer {

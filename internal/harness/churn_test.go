@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -170,5 +171,45 @@ func TestDrainerLifecycleUnderChurn(t *testing.T) {
 	nl := &harness.NoLeaks{}
 	if err := nl.AfterShutdown(c); err != nil {
 		t.Fatalf("NoLeaks: %v", err)
+	}
+}
+
+// TestObserversCloseIdleSessions pins what keeps a 10k observer fleet
+// cheap: every observer mobile's exchanges ride pooled sessions, and an
+// observer closes them once they sit idle for ObserverIdleTimeout, so an
+// idle fleet holds no sessions against the stationary core.
+func TestObserversCloseIdleSessions(t *testing.T) {
+	c, err := harness.New(harness.FabricCluster(102, 3, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.PublishAll(); err != nil {
+		t.Fatal(err)
+	}
+	var observers []string
+	busy := 0
+	for _, name := range c.Names() {
+		if c.Mobile(name) {
+			observers = append(observers, name)
+			if c.Node(name).Stats().PoolSessions > 0 {
+				busy++
+			}
+		}
+	}
+	if busy == 0 {
+		t.Fatal("no observer holds a pooled session right after publishing")
+	}
+	time.Sleep(harness.ObserverIdleTimeout)
+	err = harness.Eventually(harness.ObserverIdleTimeout, func() error {
+		for _, name := range observers {
+			if n := c.Node(name).Stats().PoolSessions; n != 0 {
+				return fmt.Errorf("observer %s holds %d pooled sessions after one idle timeout", name, n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

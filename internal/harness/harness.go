@@ -315,6 +315,10 @@ func (c *Cluster) bootFabricMobiles() error {
 	return <-errs // nil when the channel drained empty
 }
 
+// ObserverIdleTimeout is how long a Fabric observer mobile keeps an idle
+// pooled session before closing it.
+const ObserverIdleTimeout = time.Second
+
 // nodeConfig mirrors the aggressive-but-bounded resilience settings the
 // chaos suites converged on: short per-attempt deadlines, several
 // jittered retries, a breaker that trips (and probes) fast.
@@ -339,15 +343,15 @@ func (c *Cluster) nodeConfig(m *member) live.Config {
 		lc.RequireVerifiedJoins = true
 	}
 	if c.cfg.Fabric && m.mobile {
-		// Observers keep no ring membership and carry no pooled sessions:
-		// at production scale the per-mobile steady-state cost must stay
-		// O(1) — dial-per-request against its few record owners, not a
-		// multiplexed session table per node. Their request timeout is
-		// boot-scale, not chaos-scale: thousands of concurrent admissions
-		// queue on real hardware, and a 250ms deadline measures that queue,
-		// not the peer.
+		// Observers keep no ring membership, and their pooled sessions
+		// close after ObserverIdleTimeout: at production scale the
+		// per-mobile steady-state cost must stay O(1), so an idle mobile
+		// holds no session against its few record owners. Their request
+		// timeout is boot-scale, not chaos-scale: thousands of concurrent
+		// admissions queue on real hardware, and a 250ms deadline measures
+		// that queue, not the peer.
 		lc.JoinAsObserver = true
-		lc.Pool.Disabled = true
+		lc.PoolIdleTimeout = ObserverIdleTimeout
 		lc.RequestTimeout = 2 * time.Second
 	}
 	if c.cfg.Tune != nil {

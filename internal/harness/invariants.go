@@ -189,10 +189,6 @@ type CounterConservation struct{ NopChecker }
 
 func (CounterConservation) Name() string { return "counter-conservation" }
 
-func outcomeSum(c *Cluster) uint64 {
-	return c.Counters.Sum("loccache.hit", "loccache.stale", "loccache.negative", "loccache.miss")
-}
-
 // conservationLaws are the "every input is classified exactly once"
 // pairs: the classified sum may lag its input counter mid-flight (the
 // input bumps first inside one handler) but can never lead it, and the

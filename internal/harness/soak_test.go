@@ -3,7 +3,9 @@ package harness_test
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
@@ -102,6 +104,12 @@ func TestSoak10k(t *testing.T) {
 		Checkers: append(harness.DefaultCheckers(), &harness.NoResurrection{}),
 		Quiesce:  500 * time.Millisecond,
 	}, nil) // per-step narration off: 10k-scale schedules drown the log
+	// Peak RSS and the goroutines left after shutdown, for tracking the
+	// fleet's memory across runs (Maxrss is in KiB on Linux).
+	var ru syscall.Rusage
+	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) == nil {
+		t.Logf("10k soak: peak RSS %d MiB, %d goroutines at exit", ru.Maxrss/1024, runtime.NumGoroutine())
+	}
 	if err != nil {
 		t.Fatalf("10k soak failed — reproduce with BRISTLE_SOAK10K=1 BRISTLE_SOAK_SEED=%d BRISTLE_SOAK_EVENTS=%d\n%v",
 			seed, events, err)

@@ -3,8 +3,8 @@ package live
 // This file is the node's consolidated public surface. The
 // context-taking forms are canonical — they observe the caller's
 // cancellation and deadline end to end, through retries, backoff pauses,
-// dials, and pooled exchanges — and every suffix-less name below is a
-// one-line alias over context.Background(). Introspection is likewise
+// and pooled exchanges — and every suffix-less name below is a one-line
+// alias over context.Background(). Introspection is likewise
 // one method: Stats returns everything the ad-hoc accessors used to
 // expose (and more) as a single coherent snapshot.
 
@@ -33,24 +33,6 @@ func (n *Node) Discover(key hashkey.Key) (string, error) {
 // form) with the background context.
 func (n *Node) Publish() error { return n.PublishContext(context.Background()) }
 
-// Rebind is an alias for RebindContext (node.go, the canonical form)
-// with the background context.
-func (n *Node) Rebind(listenAddr string) error {
-	return n.RebindContext(context.Background(), listenAddr)
-}
-
-// UpdateRegistry is an alias for UpdateRegistryContext (advertise.go,
-// the canonical form) with the background context.
-func (n *Node) UpdateRegistry() error {
-	return n.UpdateRegistryContext(context.Background())
-}
-
-// JoinVia is an alias for JoinViaContext (the canonical form) with the
-// background context.
-func (n *Node) JoinVia(bootstrapAddr string) error {
-	return n.JoinViaContext(context.Background(), bootstrapAddr)
-}
-
 // JoinViaContext contacts a bootstrap node, announces this node, and
 // adopts the returned membership. With an Identity configured the join
 // carries a signed proof of the node's self-certifying key (join.go);
@@ -70,12 +52,6 @@ func (n *Node) JoinViaContext(ctx context.Context, bootstrapAddr string) error {
 		n.members.merge(n.key, e)
 	}
 	return nil
-}
-
-// RegisterWith is an alias for RegisterWithContext (the canonical form)
-// with the background context.
-func (n *Node) RegisterWith(targetAddr string) error {
-	return n.RegisterWithContext(context.Background(), targetAddr)
 }
 
 // RegisterWithContext records this node's interest in the movement of the
@@ -111,9 +87,6 @@ func (n *Node) PingContext(ctx context.Context, addr string) error {
 // still fresh. A read-only probe: it neither promotes the entry nor
 // records cache metrics.
 func (n *Node) CachedAddr(key hashkey.Key) (string, bool) {
-	if n.loc == nil {
-		return "", false
-	}
 	addr, state := n.loc.Peek(key)
 	if state != loccache.Fresh {
 		return "", false
@@ -141,11 +114,9 @@ type Stats struct {
 	// StoreRecords counts the location records this node holds as an
 	// owner/replica (including not-yet-lapsed leases).
 	StoreRecords int
-	// CacheEntries counts the location cache's entries (0 when the cache
-	// is disabled).
+	// CacheEntries counts the location cache's entries.
 	CacheEntries int
-	// PoolSessions counts the open pooled peer sessions (0 when pooling
-	// is disabled).
+	// PoolSessions counts the open pooled peer sessions.
 	PoolSessions int
 	// Suspects lists the peer addresses whose circuit breakers are open
 	// or half-open — the peers this node currently routes around. Sorted.
@@ -176,35 +147,12 @@ func (n *Node) Stats() Stats {
 		Suspects:      n.peersTbl.suspectAddrs(),
 		Region:        n.cfg.Region,
 		PeerRTTs:      n.peerRTTs(),
+		CacheEntries:  n.loc.Len(),
+		PoolSessions:  n.pool.sessionCount(),
 		Counters:      n.cfg.Counters.Snapshot(),
 	}
 	n.ownedMu.Lock()
 	s.OwnedKeys = len(n.owned)
 	n.ownedMu.Unlock()
-	if n.loc != nil {
-		s.CacheEntries = n.loc.Len()
-	}
-	if n.pool != nil {
-		s.PoolSessions = n.pool.sessionCount()
-	}
 	return s
-}
-
-// CountersDelta returns the per-counter increase since prev (an earlier
-// Stats snapshot), omitting counters that did not change — the shape a
-// periodic stats reporter wants.
-func (s Stats) CountersDelta(prev Stats) map[string]uint64 {
-	out := make(map[string]uint64)
-	for k, v := range s.Counters {
-		if p, ok := prev.Counters[k]; ok && p <= v {
-			if v > p {
-				out[k] = v - p
-			}
-			continue
-		}
-		if v > 0 {
-			out[k] = v
-		}
-	}
-	return out
 }

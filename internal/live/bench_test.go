@@ -2,10 +2,10 @@ package live
 
 // Benchmarks for the live stack's two hot paths.
 //
-// BenchmarkRPC* contrast the two RPC transports: a fresh dial per
-// exchange (the pre-pool behaviour, kept as the saturation fallback)
-// versus multiplexing every exchange over one pooled connection.
-// Run with: go test -bench=BenchmarkRPC -benchmem ./internal/live
+// BenchmarkRPCPooled* measure the pooled RPC path — every exchange
+// multiplexed over one long-lived connection — with and without the
+// breaker/retry wrapping.
+// Run with: go test -bench=BenchmarkRPCPooled -benchmem ./internal/live
 //
 // BenchmarkDiscover and BenchmarkResolve* contrast address resolution
 // with and without the lease-aware location cache: Discover always pays
@@ -28,7 +28,7 @@ import (
 // benchPair starts a ping server and returns a client node plus the
 // server address. Retries are disabled: a benchmark exchange either works
 // or the benchmark should fail loudly.
-func benchPair(b *testing.B, pooled bool) (*Node, string) {
+func benchPair(b *testing.B) (*Node, string) {
 	b.Helper()
 	mem := transport.NewMem()
 	server := NewNode(Config{Name: "bench-server", Capacity: 2}, mem)
@@ -37,26 +37,13 @@ func benchPair(b *testing.B, pooled bool) (*Node, string) {
 	}
 	b.Cleanup(func() { server.Close() })
 
-	cfg := Config{Name: "bench-client", Capacity: 1, RetryAttempts: 1}
-	cfg.Pool.Disabled = !pooled
-	client := NewNode(cfg, mem)
+	client := NewNode(Config{Name: "bench-client", Capacity: 1, RetryAttempts: 1}, mem)
 	b.Cleanup(func() { client.Close() })
 	return client, server.Addr()
 }
 
-func BenchmarkRPCSequentialDial(b *testing.B) {
-	client, addr := benchPair(b, false)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.PingContext(ctx, addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRPCPooled(b *testing.B) {
-	client, addr := benchPair(b, true)
+	client, addr := benchPair(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,23 +51,10 @@ func BenchmarkRPCPooled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkRPCSequentialDialParallel(b *testing.B) {
-	client, addr := benchPair(b, false)
-	ctx := context.Background()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := client.PingContext(ctx, addr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkRPCPooledParallel(b *testing.B) {
-	client, addr := benchPair(b, true)
+	client, addr := benchPair(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -95,7 +69,7 @@ func BenchmarkRPCPooledParallel(b *testing.B) {
 // BenchmarkRPCPooledRaw measures the pool's round trip without the
 // breaker/retry wrapping — the mux floor itself.
 func BenchmarkRPCPooledRaw(b *testing.B) {
-	client, addr := benchPair(b, true)
+	client, addr := benchPair(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -127,7 +101,7 @@ func resolveBench(b *testing.B) (*Node, hashkey.Key, string) {
 	}
 	b.Cleanup(func() { client.Close() })
 	for _, nd := range append(servers[1:], client) {
-		if err := nd.JoinVia(servers[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), servers[0].Addr()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,7 +226,7 @@ func benchPublishCluster(b *testing.B, ownedKeys int) (*Node, *metrics.Counters)
 	}
 	b.Cleanup(func() { pub.Close() })
 	for _, nd := range append(servers[1:], pub) {
-		if err := nd.JoinVia(servers[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), servers[0].Addr()); err != nil {
 			b.Fatal(err)
 		}
 	}

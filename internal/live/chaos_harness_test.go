@@ -7,6 +7,7 @@
 package live_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -97,7 +98,7 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 	must("LDT update delivery", 30*time.Second, func() error {
 		for _, w := range c.Watchers("m1") {
 			if got, want := c.Observed(w, "m1"), c.Addr("m1"); got != want {
-				if err := c.Node("m1").UpdateRegistry(); err != nil {
+				if err := c.Node("m1").UpdateRegistryContext(context.Background()); err != nil {
 					return err
 				}
 				return fmt.Errorf("watcher %s observed %q, want %q", w, got, want)
@@ -136,7 +137,7 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 	}
 	must("s6 LDT update", 20*time.Second, func() error {
 		if got, want := c.Observed("s6", "m2"), c.Addr("m2"); got != want {
-			if err := c.Node("m2").UpdateRegistry(); err != nil {
+			if err := c.Node("m2").UpdateRegistryContext(context.Background()); err != nil {
 				return err
 			}
 			return fmt.Errorf("s6 observed %q, want %q", got, want)

@@ -7,6 +7,7 @@ package live
 // bootstrap they share.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -55,7 +56,7 @@ func startChaosRing(t *testing.T, faulty *transport.Faulty, names []string, mobi
 	}
 	boot := started[0]
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(boot.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 	}

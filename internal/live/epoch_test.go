@@ -8,6 +8,7 @@ package live
 // resolver's cache) back to a dead address.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -113,7 +114,7 @@ func TestRebindBumpsEpoch(t *testing.T) {
 	defer cleanup()
 	mob := nodes["mob"]
 	before := mob.Stats().Epoch
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	after := mob.Stats().Epoch
@@ -150,12 +151,12 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 		}
 	}()
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(started[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), started[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mob := nodes["mob"]
-	if err := mob.JoinVia(started[0].Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), started[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,7 +201,7 @@ func TestPublishedKeysFollowRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldAddr := mob.Addr()
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	if mob.Addr() == oldAddr {
@@ -240,11 +241,11 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 	if err := mob.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := watcher.RegisterWith(mob.Addr()); err != nil {
+	if err := watcher.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for move := 0; move < 3; move++ {
-		if err := mob.Rebind(""); err != nil {
+		if err := mob.RebindContext(context.Background(), ""); err != nil {
 			t.Fatalf("move %d: %v", move, err)
 		}
 	}

@@ -6,6 +6,7 @@ package live
 // the counters each one increments and the admission conservation law.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -281,7 +282,7 @@ func TestJoinEndToEndVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if err := good.JoinVia(boot.Addr()); err != nil {
+	if err := good.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 		t.Fatalf("verified join failed: %v", err)
 	}
 
@@ -291,7 +292,7 @@ func TestJoinEndToEndVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer legacy.Close()
-	if err := legacy.JoinVia(boot.Addr()); err == nil {
+	if err := legacy.JoinViaContext(context.Background(), boot.Addr()); err == nil {
 		t.Fatal("unsigned join succeeded against a verifying bootstrap")
 	}
 	if got := counters.Get("join.rejected.unsigned"); got != 1 {

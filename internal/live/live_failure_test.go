@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -35,13 +36,13 @@ func TestDeadDelegateSubtreeFallsBackToDiscovery(t *testing.T) {
 	}
 	must(mob.Publish())
 	for _, w := range []string{"head", "w1", "w2", "w3"} {
-		must(nodes[w].RegisterWith(mob.Addr()))
+		must(nodes[w].RegisterWithContext(context.Background(), mob.Addr()))
 	}
 
 	// The delegate dies silently.
 	nodes["head"].Close()
 
-	must(mob.Rebind(""))
+	must(mob.RebindContext(context.Background(), ""))
 
 	// Workers w1..w3 were behind the dead delegate: they must NOT receive
 	// the proactive update.
@@ -114,7 +115,7 @@ func TestConcurrentOperationsRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			if addr, err := nodes["s1"].Discover(mob.Key()); err == nil {
-				nodes["s1"].RegisterWith(addr)
+				nodes["s1"].RegisterWithContext(context.Background(), addr)
 			}
 		}
 	}()
@@ -123,7 +124,7 @@ func TestConcurrentOperationsRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := mob.Rebind(""); err != nil {
+			if err := mob.RebindContext(context.Background(), ""); err != nil {
 				t.Errorf("rebind %d: %v", i, err)
 				return
 			}
@@ -178,11 +179,11 @@ func TestRegisterSurvivesTargetRebind(t *testing.T) {
 	if err := mob.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := watch.RegisterWith(mob.Addr()); err != nil {
+	if err := watch.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := mob.Rebind(""); err != nil {
+		if err := mob.RebindContext(context.Background(), ""); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -213,7 +214,7 @@ func TestMemTransportClosedBootstrapJoinFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer joiner.Close()
-	if err := joiner.JoinVia(addr); err == nil {
+	if err := joiner.JoinViaContext(context.Background(), addr); err == nil {
 		t.Fatal("join via dead bootstrap succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func startCluster(t *testing.T, names []string, mobile map[string]bool, caps map
 	}
 	boot := started[0]
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(boot.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 	}
@@ -99,7 +100,7 @@ func TestRebindRepublishesAndReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldAddr := mob.Addr()
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
 	if mob.Addr() == oldAddr {
@@ -126,7 +127,7 @@ func TestRebindRepublishesAndReachable(t *testing.T) {
 func TestRebindStationaryRejected(t *testing.T) {
 	nodes, cleanup := startCluster(t, []string{"s1", "s2"}, nil, nil)
 	defer cleanup()
-	if err := nodes["s1"].Rebind(""); err == nil {
+	if err := nodes["s1"].RebindContext(context.Background(), ""); err == nil {
 		t.Fatal("stationary node rebound")
 	}
 }
@@ -142,7 +143,7 @@ func TestRegisterAndLDTUpdatePush(t *testing.T) {
 	}
 	// All five stationary nodes register interest.
 	for _, s := range []string{"s1", "s2", "s3", "s4", "s5"} {
-		if err := nodes[s].RegisterWith(mob.Addr()); err != nil {
+		if err := nodes[s].RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 			t.Fatalf("register %s: %v", s, err)
 		}
 	}
@@ -150,7 +151,7 @@ func TestRegisterAndLDTUpdatePush(t *testing.T) {
 		t.Fatalf("registry size %d, want 5", got)
 	}
 
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
 
@@ -188,11 +189,11 @@ func TestUpdateDelegationRecursion(t *testing.T) {
 	defer cleanup()
 	mob := nodes["mob"]
 	for _, s := range names[:7] {
-		if err := nodes[s].RegisterWith(mob.Addr()); err != nil {
+		if err := nodes[s].RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range names[:7] {
@@ -219,7 +220,7 @@ func TestLeaseExpiryLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mob.Close()
-	if err := mob.JoinVia(server.Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if err := mob.Publish(); err != nil {
@@ -288,10 +289,10 @@ func TestLiveOverTCP(t *testing.T) {
 	}
 	defer watcher.Close()
 
-	if err := mob.JoinVia(server.Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := watcher.JoinVia(server.Addr()); err != nil {
+	if err := watcher.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -304,10 +305,10 @@ func TestLiveOverTCP(t *testing.T) {
 	if err := mob.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := watcher.RegisterWith(mob.Addr()); err != nil {
+	if err := watcher.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mob.Rebind("127.0.0.1:0"); err != nil {
+	if err := mob.RebindContext(context.Background(), "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	select {

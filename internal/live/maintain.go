@@ -128,7 +128,7 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 			}
 		}()
 	}
-	if cfg.RefreshInterval > 0 && n.loc != nil {
+	if cfg.RefreshInterval > 0 {
 		topK := cfg.RefreshTopK
 		if topK <= 0 {
 			topK = 32

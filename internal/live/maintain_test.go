@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestMaintenanceRenewsLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mob.Close()
-	if err := mob.JoinVia(server.Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if err := mob.Publish(); err != nil {
@@ -75,11 +76,11 @@ func TestMaintenanceGossipPropagatesMembership(t *testing.T) {
 
 	// a and b join via boot; c joins via a — nobody knows everyone yet.
 	for i, nd := range []*Node{a, b} {
-		if err := nd.JoinVia(boot.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
-	if err := c.JoinVia(a.Addr()); err != nil {
+	if err := c.JoinViaContext(context.Background(), a.Addr()); err != nil {
 		t.Fatal(err)
 	}
 

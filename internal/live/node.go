@@ -17,7 +17,7 @@
 //   - node.go       — Config, lifecycle (Start/Close/Rebind), connection
 //     serving and dispatch
 //   - api.go        — the consolidated public surface: canonical
-//     *Context methods, their suffix-less aliases, Stats
+//     *Context methods, a few suffix-less aliases, Stats
 //   - store.go      — the sharded record repository and the ingest/serve
 //     handlers (publish, discover, update)
 //   - membership.go — copy-on-write membership and registry views;
@@ -31,8 +31,11 @@
 // Every public operation that can touch the network has a Context-suffixed
 // form (PublishContext, DiscoverContext, ...) that observes the caller's
 // cancellation and deadline end to end — through retries, backoff pauses,
-// dials, and pooled exchanges. The suffix-less forms are one-line aliases
-// over context.Background(), collected in api.go.
+// and pooled exchanges, including a wait for a free session when the
+// pool is at its cap. Resolve, Discover, Publish and Ping also have
+// suffix-less aliases over context.Background(), collected in api.go.
+// Every frame rides the connection pool, and every node runs the
+// location cache: neither has an off-switch.
 package live
 
 import (
@@ -128,14 +131,11 @@ type Config struct {
 	// SuspicionCooldown is how long a tripped breaker fails fast before it
 	// lets one probe through (half-open). Default 2s.
 	SuspicionCooldown time.Duration
-	// Pool tunes the multiplexed per-peer connection pool under the RPC
-	// layer. The zero value enables pooling with defaults; set
-	// Pool.Disabled to revert to dial-per-request exchanges.
-	Pool PoolConfig
-	// Cache tunes the lease-aware sharded location cache behind Resolve
-	// (resolve.go). The zero value enables the cache with defaults; set
-	// Cache.Disabled to make every resolve a network discovery.
-	Cache CacheConfig
+	// PoolIdleTimeout closes a pooled peer session (pool.go) after this
+	// long without traffic. Default 60s. Every exchange rides the pool;
+	// its other limits are fixed, and so is the location cache behind
+	// Resolve (loccache's defaults).
+	PoolIdleTimeout time.Duration
 	// Counters optionally records resilience events (rpc.retries,
 	// rpc.timeouts, breaker.trips, pool.dials, ...); nil disables them.
 	Counters *metrics.Counters
@@ -176,9 +176,9 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SuspicionCooldown <= 0 {
 		cfg.SuspicionCooldown = 2 * time.Second
 	}
-	cfg.Pool = cfg.Pool.withDefaults()
-	// Cache defaults live in loccache.Config.withDefaults; zero values
-	// pass through so one place owns them.
+	if cfg.PoolIdleTimeout <= 0 {
+		cfg.PoolIdleTimeout = defaultPoolIdleTimeout
+	}
 	return cfg
 }
 
@@ -265,7 +265,7 @@ type Node struct {
 	cfg  Config
 	key  hashkey.Key
 	tr   transport.Transport
-	pool *pool // nil when cfg.Pool.Disabled
+	pool *pool
 
 	lifeMu    sync.Mutex
 	listener  *listenerState
@@ -273,7 +273,6 @@ type Node struct {
 	flusherOn bool // update flusher goroutine started (advertise.go)
 
 	self atomic.Pointer[binding]
-	seq  atomic.Uint32 // one-shot (unpooled) exchange sequence numbers
 
 	members  membership    // known peers (incl. self); COW snapshots
 	registry registryTable // R(self): interested nodes, leased; COW
@@ -297,7 +296,7 @@ type Node struct {
 	// pushes (early binding) and discover answers (late binding) write
 	// through it; ResolveContext reads it. It is never served to the
 	// network, and the resolve hot path shares no lock with the protocol
-	// path. Nil when Cache.Disabled.
+	// path.
 	loc     *loccache.Cache
 	flights loccache.Group // coalesces concurrent discoveries per key
 	closed  atomic.Bool    // set by Close; gates background refreshes
@@ -359,19 +358,8 @@ func NewNode(cfg Config, tr transport.Transport) *Node {
 	n.peersTbl.init()
 	n.rtt.init()
 	n.runCtx, n.runCancel = context.WithCancel(context.Background())
-	if !cfg.Pool.Disabled {
-		n.pool = newPool(tr, cfg.Pool, cfg.Counters, cfg.Gauges)
-	}
-	if !cfg.Cache.Disabled {
-		n.loc = loccache.New(loccache.Config{
-			Shards:      cfg.Cache.Shards,
-			MaxEntries:  cfg.Cache.MaxEntries,
-			NegativeTTL: cfg.Cache.NegativeTTL,
-			StaleWindow: cfg.Cache.StaleWindow,
-			Counters:    cfg.Counters,
-			Gauges:      cfg.Gauges,
-		})
-	}
+	n.pool = newPool(tr, cfg.PoolIdleTimeout, cfg.Counters, cfg.Gauges)
+	n.loc = loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges})
 	return n
 }
 
@@ -452,9 +440,7 @@ func (n *Node) Close() error {
 	n.closed.Store(true) // stop launching background refreshes
 	n.runCancel()        // abort in-flight LDT fan-out and flusher sends
 	n.updq.close()       // unblock enqueue waiters; the flusher drains out
-	if n.pool != nil {
-		n.pool.Close()
-	}
+	n.pool.Close()
 	if ls != nil {
 		ls.close()
 	}

@@ -93,20 +93,6 @@ func WithSuspicion(threshold int, cooldown time.Duration) Option {
 	}
 }
 
-// WithPool tunes the multiplexed per-peer connection pool.
-func WithPool(pc PoolConfig) Option { return func(cfg *Config) { cfg.Pool = pc } }
-
-// WithoutPool reverts every exchange to dial-per-request.
-func WithoutPool() Option { return func(cfg *Config) { cfg.Pool.Disabled = true } }
-
-// WithResolveCache tunes the lease-aware sharded location cache behind
-// Resolve (sharding, bound, negative TTL, stale window).
-func WithResolveCache(cc CacheConfig) Option { return func(cfg *Config) { cfg.Cache = cc } }
-
-// WithoutResolveCache disables the location cache: every Resolve becomes
-// a network discovery.
-func WithoutResolveCache() Option { return func(cfg *Config) { cfg.Cache.Disabled = true } }
-
 // WithCounters records resilience events (rpc.retries, breaker.trips,
 // pool.dials, ...) on the given registry.
 func WithCounters(c *metrics.Counters) Option { return func(cfg *Config) { cfg.Counters = c } }
@@ -174,14 +160,8 @@ func (cfg Config) validate() error {
 			return fmt.Errorf("live: region %q is not in the declared region set %v", cfg.Region, cfg.Regions)
 		}
 	}
-	if cfg.Pool.MaxSessions < 0 || cfg.Pool.MaxInflight < 0 {
-		return errors.New("live: pool limits must be >= 0")
-	}
-	if cfg.Cache.Shards < 0 || cfg.Cache.MaxEntries < 0 {
-		return errors.New("live: cache sizes must be >= 0")
-	}
-	if cfg.Cache.NegativeTTL < 0 || cfg.Cache.StaleWindow < 0 {
-		return errors.New("live: cache durations must be >= 0")
+	if cfg.PoolIdleTimeout < 0 {
+		return fmt.Errorf("live: pool idle timeout must be >= 0, got %v", cfg.PoolIdleTimeout)
 	}
 	return nil
 }

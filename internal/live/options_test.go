@@ -43,12 +43,9 @@ func TestNewAppliesOptionsAndDefaults(t *testing.T) {
 	if cfg.Counters != counters || cfg.Gauges != gauges {
 		t.Error("metrics registries not applied")
 	}
-	// Unset knobs get defaults; the pool is on by default.
-	if cfg.Pool.MaxSessions != 64 || cfg.Pool.MaxInflight != 128 || cfg.Pool.IdleTimeout != 60*time.Second {
-		t.Errorf("pool defaults not applied: %+v", cfg.Pool)
-	}
-	if n.pool == nil {
-		t.Error("pool should be enabled by default")
+	// Unset knobs get defaults.
+	if cfg.PoolIdleTimeout != 60*time.Second {
+		t.Errorf("pool idle timeout default not applied: %v", cfg.PoolIdleTimeout)
 	}
 }
 
@@ -66,21 +63,6 @@ func TestNewDefaultsMatchNewNode(t *testing.T) {
 	}
 }
 
-func TestNewWithoutPool(t *testing.T) {
-	mem := transport.NewMem()
-	n, err := New("poolless", mem, WithoutPool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if n.pool != nil {
-		t.Error("WithoutPool should leave the node unpooled")
-	}
-	if got := n.Stats().PoolSessions; got != 0 {
-		t.Errorf("PoolSessions on unpooled node = %d, want 0", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	mem := transport.NewMem()
 	cases := []struct {
@@ -95,7 +77,7 @@ func TestNewValidation(t *testing.T) {
 		{"negative capacity", "x", mem, []Option{WithCapacity(-2)}},
 		{"negative timeout", "x", mem, []Option{WithRequestTimeout(-time.Second)}},
 		{"base above max", "x", mem, []Option{WithRetryBudget(3, time.Second, time.Millisecond, time.Minute)}},
-		{"negative pool limits", "x", mem, []Option{WithPool(PoolConfig{MaxSessions: -1})}},
+		{"negative pool limits", "x", mem, []Option{func(cfg *Config) { cfg.PoolIdleTimeout = -time.Second }}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

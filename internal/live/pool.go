@@ -8,13 +8,14 @@ package live
 // are in flight on one connection at once. Broken sessions tear down,
 // fail their waiters with retryable errors, and are transparently
 // re-dialed by the next attempt, composing with the retry/backoff and
-// circuit-breaker machinery in rpc.go.
+// circuit-breaker machinery in rpc.go. Every frame the node originates
+// rides a pooled session; there is no dial-per-request path.
 //
 // The session table is sharded by peer address (same FNV-1a layout as the
 // breaker table): acquiring a session for one peer never contends with
-// exchanges against peers in other shards. The global MaxSessions cap is
+// exchanges against peers in other shards. The global session cap is
 // enforced with an atomic reservation counter rather than a pool-wide
-// lock.
+// lock; at the cap an acquire evicts an idle session or waits for one.
 
 import (
 	"context"
@@ -29,40 +30,19 @@ import (
 	"bristle/internal/wire"
 )
 
-// PoolConfig tunes the per-peer multiplexed connection pool.
-type PoolConfig struct {
-	// Disabled reverts every exchange to the dial-per-request path (the
-	// pre-pool behaviour; also the baseline of BenchmarkRPCSequentialDial).
-	Disabled bool
-	// MaxSessions caps how many peers hold a pooled session at once. At
-	// the cap the least-recently-used idle session is evicted; if every
-	// session is busy the overflow exchange runs on a one-shot connection.
-	// Default 64.
-	MaxSessions int
-	// MaxInflight bounds the outbound frames queued to one session's
-	// writer; enqueues past it wait (backpressure). Default 128.
-	MaxInflight int
-	// IdleTimeout evicts sessions with no traffic for this long. Zero
-	// defaults to 60s; negative disables idle eviction.
-	IdleTimeout time.Duration
-}
-
-func (c PoolConfig) withDefaults() PoolConfig {
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 64
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 128
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	return c
-}
-
-// errPoolSaturated is internal: every session slot is busy, so the
-// caller should fall back to a one-shot connection for this exchange.
-var errPoolSaturated = errors.New("live: pool saturated")
+// Pool limits. Only the idle timeout varies per node
+// (Config.PoolIdleTimeout); the rest are fixed for every node.
+const (
+	// poolMaxSessions caps how many peers hold a pooled session at once.
+	// At the cap the least-recently-used idle session is evicted; with
+	// every session busy, an acquire waits for one to go idle or close.
+	poolMaxSessions = 64
+	// poolMaxInflight bounds the outbound frames queued to one session's
+	// writer; enqueues past it wait (backpressure).
+	poolMaxInflight = 128
+	// defaultPoolIdleTimeout is Config.PoolIdleTimeout's default.
+	defaultPoolIdleTimeout = 60 * time.Second
+)
 
 // errSessionIdle marks idle-eviction teardowns (never seen by callers:
 // an idle session has no waiters).
@@ -76,33 +56,43 @@ type poolShard struct {
 
 // pool owns at most one session per peer address, sharded by address.
 type pool struct {
-	tr       transport.Transport
-	cfg      PoolConfig
-	counters *metrics.Counters
-	gauges   *metrics.Gauges
+	tr          transport.Transport
+	idleTimeout time.Duration
+	maxSessions int // poolMaxSessions; tests lower it to force saturation
+	counters    *metrics.Counters
+	gauges      *metrics.Gauges
 
 	closed atomic.Bool
-	nsess  atomic.Int64 // reserved session slots (the MaxSessions cap)
+	nsess  atomic.Int64 // reserved session slots (the maxSessions cap)
 	shards [stateShards]poolShard
 
+	// Acquires parked at the cap (awaitSlot) wait on freed, which
+	// slotFreed closes and replaces when a session goes idle or closes.
+	waiters atomic.Int32
+	freeMu  sync.Mutex
+	freed   chan struct{}
+
+	// The idle janitor runs only while the pool holds sessions: it starts
+	// with the first one and exits once the table empties, so an idle
+	// node's pool costs no goroutine and no timer.
+	janMu       sync.Mutex
+	janitorOn   bool
 	stopJanitor chan struct{}
 	wg          sync.WaitGroup // janitor + per-session read/write loops
 }
 
-func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
+func newPool(tr transport.Transport, idleTimeout time.Duration, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
 	p := &pool{
-		tr:       tr,
-		cfg:      cfg.withDefaults(),
-		counters: counters,
-		gauges:   gauges,
+		tr:          tr,
+		idleTimeout: idleTimeout,
+		maxSessions: poolMaxSessions,
+		counters:    counters,
+		gauges:      gauges,
+		freed:       make(chan struct{}),
+		stopJanitor: make(chan struct{}),
 	}
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*session)
-	}
-	if p.cfg.IdleTimeout > 0 {
-		p.stopJanitor = make(chan struct{})
-		p.wg.Add(1)
-		go p.janitor()
 	}
 	return p
 }
@@ -141,13 +131,11 @@ type session struct {
 // acquire returns a live session for addr, dialing one if absent. The
 // creator dials inline (bounded by its ctx); concurrent acquirers of the
 // same address wait for that dial instead of racing their own. At the
-// MaxSessions cap the least-recently-used idle session is evicted and
-// the acquire retried; with no idle victim the pool reports saturation
-// and the caller falls back to a one-shot dial.
+// maxSessions cap the least-recently-used idle session is evicted and the
+// acquire retried; with no idle victim the acquire waits, bounded by ctx,
+// for a session to go idle or close.
 func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
-	// Bounded retry: each round either returns, fails, or has evicted an
-	// idle victim (freeing a slot that a rival may steal first).
-	for tries := 0; tries < 4; tries++ {
+	for {
 		if p.closed.Load() {
 			return nil, ErrPoolClosed
 		}
@@ -176,15 +164,17 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 		}
 		// Absent: reserve a slot before inserting, so the cap holds
 		// globally without a pool-wide lock.
-		if p.nsess.Add(1) > int64(p.cfg.MaxSessions) {
+		if p.nsess.Add(1) > int64(p.maxSessions) {
 			p.nsess.Add(-1)
 			sh.mu.Unlock()
-			victim := p.lruIdle()
-			if victim == nil {
-				return nil, errPoolSaturated
+			// A rival that saw this transient reservation may have parked.
+			p.slotFreed()
+			if victim := p.lruIdle(); victim != nil {
+				p.count("pool.evictions.cap")
+				victim.teardown(errSessionIdle) // its drop releases the slot
+			} else if err := p.awaitSlot(ctx, addr); err != nil {
+				return nil, err
 			}
-			p.count("pool.evictions.cap")
-			victim.teardown(errSessionIdle) // its drop releases the slot
 			continue
 		}
 		s := &session{
@@ -192,16 +182,52 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 			addr:    addr,
 			ready:   make(chan struct{}),
 			done:    make(chan struct{}),
-			writeCh: make(chan *wire.Message, p.cfg.MaxInflight),
+			writeCh: make(chan *wire.Message, poolMaxInflight),
 			pending: make(map[uint32]chan *wire.Message),
 			lastUse: time.Now(),
 		}
 		sh.m[addr] = s
 		p.gauges.Set("pool.sessions", p.nsess.Load())
+		p.startJanitor() // under the shard lock: see startJanitor
 		sh.mu.Unlock()
 		return s, s.dial(ctx)
 	}
-	return nil, errPoolSaturated
+}
+
+// awaitSlot parks an acquire that found every session slot busy until a
+// session goes idle or closes, or ctx expires. Expiry fails with
+// transport.ErrBacklogFull, which the RPC layer retries like any other
+// backpressure.
+func (p *pool) awaitSlot(ctx context.Context, addr string) error {
+	p.waiters.Add(1)
+	defer p.waiters.Add(-1)
+	p.freeMu.Lock()
+	freed := p.freed
+	p.freeMu.Unlock()
+	// Re-check once signals can reach this waiter: a slot freed before
+	// the registration above was not signalled.
+	if p.closed.Load() || p.nsess.Load() < int64(p.maxSessions) || p.lruIdle() != nil {
+		return nil
+	}
+	p.count("pool.waits")
+	select {
+	case <-freed:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("live: no pooled session free for %s: %w: %w", addr, transport.ErrBacklogFull, ctx.Err())
+	}
+}
+
+// slotFreed wakes every acquire parked in awaitSlot. Without waiters it
+// costs one atomic load, so the exchange path can call it freely.
+func (p *pool) slotFreed() {
+	if p.waiters.Load() == 0 {
+		return
+	}
+	p.freeMu.Lock()
+	close(p.freed)
+	p.freed = make(chan struct{})
+	p.freeMu.Unlock()
 }
 
 // dial is run once, by the session's creator. On success it starts the
@@ -345,9 +371,13 @@ func (s *session) unregister(seq uint32) {
 func (s *session) endUse() {
 	s.mu.Lock()
 	s.inflight--
+	idle := s.inflight == 0
 	s.lastUse = time.Now()
 	s.mu.Unlock()
 	s.p.gaugeAdd("pool.inflight", -1)
+	if idle {
+		s.p.slotFreed()
+	}
 }
 
 // roundTrip runs one request/response exchange over the shared
@@ -433,11 +463,15 @@ func (p *pool) send(ctx context.Context, addr string, m *wire.Message) error {
 func (p *pool) drop(s *session) {
 	sh := p.shard(s.addr)
 	sh.mu.Lock()
-	if sh.m[s.addr] == s {
+	dropped := sh.m[s.addr] == s
+	if dropped {
 		delete(sh.m, s.addr)
 		p.gauges.Set("pool.sessions", p.nsess.Add(-1))
 	}
 	sh.mu.Unlock()
+	if dropped {
+		p.slotFreed()
+	}
 }
 
 // lruIdle returns the least-recently-used session with nothing in
@@ -463,9 +497,27 @@ func (p *pool) lruIdle() *session {
 	return oldest
 }
 
+// startJanitor starts the idle janitor unless it runs already. Callers
+// hold the shard lock of a session they just inserted: Close sweeps every
+// shard under its lock before it waits on wg, so this wg.Add is ordered
+// before that wait.
+func (p *pool) startJanitor() {
+	p.janMu.Lock()
+	if !p.janitorOn {
+		p.janitorOn = true
+		p.wg.Add(1)
+		go p.janitor()
+	}
+	p.janMu.Unlock()
+}
+
+// janitor evicts idle sessions every quarter idle timeout and exits once
+// the table is empty. The emptiness check and janitorOn flip share janMu
+// with startJanitor, so a session inserted concurrently either keeps
+// this janitor running or starts a new one.
 func (p *pool) janitor() {
 	defer p.wg.Done()
-	interval := p.cfg.IdleTimeout / 4
+	interval := p.idleTimeout / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
@@ -477,6 +529,13 @@ func (p *pool) janitor() {
 			return
 		case now := <-t.C:
 			p.evictIdle(now)
+			p.janMu.Lock()
+			if p.nsess.Load() == 0 {
+				p.janitorOn = false
+				p.janMu.Unlock()
+				return
+			}
+			p.janMu.Unlock()
 		}
 	}
 }
@@ -488,7 +547,7 @@ func (p *pool) evictIdle(now time.Time) {
 		sh.mu.Lock()
 		for _, s := range sh.m {
 			s.mu.Lock()
-			idle := !s.torn && s.inflight == 0 && now.Sub(s.lastUse) >= p.cfg.IdleTimeout
+			idle := !s.torn && s.inflight == 0 && now.Sub(s.lastUse) >= p.idleTimeout
 			s.mu.Unlock()
 			if idle {
 				victims = append(victims, s)
@@ -523,9 +582,8 @@ func (p *pool) Close() {
 	}
 	p.nsess.Store(0)
 	p.gauges.Set("pool.sessions", 0)
-	if p.stopJanitor != nil {
-		close(p.stopJanitor)
-	}
+	close(p.stopJanitor)
+	p.slotFreed() // parked acquires wake and see closed
 	for _, s := range victims {
 		s.teardown(ErrPoolClosed)
 	}

@@ -2,12 +2,13 @@ package live
 
 // Tests for the multiplexed connection pool: correct demultiplexing under
 // concurrency and injected frame faults, idle eviction, transparent
-// re-dial of broken sessions, saturation fallback, and the
+// re-dial of broken sessions, the bounded wait at the session cap, and the
 // head-of-line-blocking regression (a slow exchange must not delay a fast
 // one sharing the connection).
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -97,11 +98,13 @@ func TestPoolConcurrentDemuxUnderFaults(t *testing.T) {
 	t.Logf("counters: %s", counters)
 }
 
-// pingServer is a minimal hand-rolled peer: answers pings, lets the test
-// reach into its accepted connections to break them.
+// pingServer is a minimal hand-rolled peer: answers pings, hands every
+// other frame to the test on oneWay, and lets the test reach into its
+// accepted connections to break them.
 type pingServer struct {
-	l     transport.Listener
-	conns chan transport.Conn
+	l      transport.Listener
+	conns  chan transport.Conn
+	oneWay chan *wire.Message
 }
 
 func startPingServer(t *testing.T, tr transport.Transport) *pingServer {
@@ -110,24 +113,29 @@ func startPingServer(t *testing.T, tr transport.Transport) *pingServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &pingServer{l: l, conns: make(chan transport.Conn, 16)}
+	s := &pingServer{l: l, conns: make(chan transport.Conn, 16), oneWay: make(chan *wire.Message, 16)}
 	go func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
-			s.conns <- c
+			select {
+			case s.conns <- c:
+			default: // tests only reach into the first few conns
+			}
 			go func(c transport.Conn) {
 				for {
 					m, err := c.Recv()
 					if err != nil {
 						return
 					}
-					if m.Type == wire.TPing {
-						if err := c.Send(&wire.Message{Type: wire.TPong, Seq: m.Seq}); err != nil {
-							return
-						}
+					if m.Type != wire.TPing {
+						s.oneWay <- m
+						continue
+					}
+					if err := c.Send(&wire.Message{Type: wire.TPong, Seq: m.Seq}); err != nil {
+						return
 					}
 				}
 			}(c)
@@ -144,7 +152,7 @@ func TestPoolIdleEviction(t *testing.T) {
 	counters := metrics.NewCounters()
 	gauges := metrics.NewGauges()
 	cfg := poolTestConfig("idle-client", counters, gauges)
-	cfg.Pool.IdleTimeout = 40 * time.Millisecond
+	cfg.PoolIdleTimeout = 40 * time.Millisecond
 	client := NewNode(cfg, mem)
 	defer client.Close()
 
@@ -169,6 +177,18 @@ func TestPoolIdleEviction(t *testing.T) {
 	if got := gauges.Get("pool.sessions"); got != 0 {
 		t.Errorf("pool.sessions gauge = %d after eviction, want 0", got)
 	}
+	// With the table empty the janitor exits; the next session restarts it.
+	janitorOn := func() bool {
+		client.pool.janMu.Lock()
+		defer client.pool.janMu.Unlock()
+		return client.pool.janitorOn
+	}
+	for janitorOn() {
+		if time.Now().After(deadline) {
+			t.Fatal("janitor still running with no sessions")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	// The next exchange transparently re-dials.
 	if err := client.PingContext(ctx, server.l.Addr()); err != nil {
@@ -176,6 +196,9 @@ func TestPoolIdleEviction(t *testing.T) {
 	}
 	if got := counters.Get("pool.dials"); got != 2 {
 		t.Errorf("pool.dials = %d, want 2 (initial + re-dial)", got)
+	}
+	if !janitorOn() {
+		t.Error("janitor not restarted with the re-dialed session")
 	}
 }
 
@@ -265,7 +288,7 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 	const slowFor = 400 * time.Millisecond
 	l := startSlowServer(t, mem, slowFor)
 
-	p := newPool(mem, PoolConfig{}, nil, nil)
+	p := newPool(mem, defaultPoolIdleTimeout, nil, nil)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -294,40 +317,138 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// TestPoolSaturationFallsBack pins the only session slot on a busy peer;
-// an exchange with a second peer must fall back to a one-shot dial and
-// still succeed.
-func TestPoolSaturationFallsBack(t *testing.T) {
+// TestPoolSaturationWaitsForSlot pins the only session slot with a
+// 300ms exchange. There is no dial-per-request fallback: an exchange with
+// a second peer waits for the slot to free and then evicts its session, a
+// caller whose context is shorter than the pin fails with retryable
+// backpressure, and a one-way push waits too instead of being dropped.
+func TestPoolSaturationWaitsForSlot(t *testing.T) {
 	mem := transport.NewMem()
-	slow := startSlowServer(t, mem, 300*time.Millisecond)
+	const pin = 300 * time.Millisecond
+	slow := startSlowServer(t, mem, pin)
 	fastSrv := startPingServer(t, mem)
 
 	counters := metrics.NewCounters()
 	cfg := poolTestConfig("saturated-client", counters, nil)
-	cfg.Pool.MaxSessions = 1
+	cfg.RequestTimeout = 2 * time.Second
 	client := NewNode(cfg, mem)
+	client.pool.maxSessions = 1
 	defer client.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	// pinSlot occupies the single slot with an in-flight slow exchange and
+	// returns when it started, plus a channel that yields its result.
+	pinSlot := func() (time.Time, <-chan error) {
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, err := client.pool.roundTrip(ctx, slow.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")})
+			done <- err
+		}()
+		time.Sleep(50 * time.Millisecond)
+		return start, done
+	}
 
-	// Occupy the single slot with an in-flight exchange.
-	slowDone := make(chan error, 1)
-	go func() {
-		_, err := client.pool.roundTrip(ctx, slow.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")})
-		slowDone <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-
+	start, pinned := pinSlot()
 	if err := client.PingContext(ctx, fastSrv.l.Addr()); err != nil {
 		t.Fatalf("ping during saturation: %v", err)
 	}
-	if got := counters.Get("pool.fallbacks"); got == 0 {
-		t.Errorf("pool.fallbacks = 0, want >= 1 (one-shot dial under saturation)")
+	if waited := time.Since(start); waited < pin {
+		t.Errorf("ping finished %v after the pin started, before the %v pin freed the slot", waited, pin)
 	}
-	if err := <-slowDone; err != nil {
+	if got := counters.Get("pool.dials"); got != 2 {
+		t.Errorf("pool.dials = %d, want 2 (the pin, then the ping after eviction)", got)
+	}
+	if err := <-pinned; err != nil {
 		t.Fatalf("pinned exchange: %v", err)
 	}
+
+	_, pinned = pinSlot()
+	short, cancelShort := context.WithTimeout(ctx, 50*time.Millisecond)
+	err := client.PingContext(short, fastSrv.l.Addr())
+	cancelShort()
+	if !errors.Is(err, transport.ErrBacklogFull) || !Retryable(err) {
+		t.Errorf("ping with a context shorter than the pin: err = %v, want retryable ErrBacklogFull", err)
+	}
+	if err := <-pinned; err != nil {
+		t.Fatalf("pinned exchange: %v", err)
+	}
+
+	_, pinned = pinSlot()
+	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.FromName("pushed"), Addr: "mem:pushed"}}
+	if err := client.oneWay(ctx, fastSrv.l.Addr(), push); err != nil {
+		t.Fatalf("one-way push during saturation: %v", err)
+	}
+	select {
+	case m := <-fastSrv.oneWay:
+		if m.Type != wire.TUpdate || m.Self.Addr != "mem:pushed" {
+			t.Errorf("delivered frame = %v %q, want the pushed update", m.Type, m.Self.Addr)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("one-way push sent during saturation was never delivered")
+	}
+	if err := <-pinned; err != nil {
+		t.Fatalf("pinned exchange: %v", err)
+	}
+}
+
+// TestPoolCapUnderConcurrentLoad drives more peers than session slots
+// from many goroutines at once, with an idle timeout short enough that
+// the janitor starts and exits under the load. Every exchange completes
+// through eviction or the wait at the cap, and the cap always holds.
+func TestPoolCapUnderConcurrentLoad(t *testing.T) {
+	mem := transport.NewMem()
+	var addrs []string
+	for i := 0; i < 4; i++ {
+		addrs = append(addrs, startPingServer(t, mem).l.Addr())
+	}
+	counters := metrics.NewCounters()
+	cfg := poolTestConfig("cap-client", counters, nil)
+	cfg.RequestTimeout = 2 * time.Second
+	cfg.PoolIdleTimeout = 20 * time.Millisecond
+	client := NewNode(cfg, mem)
+	const slots = 2
+	client.pool.maxSessions = slots
+	defer client.Close()
+	// held counts the session table under every shard lock at once, so a
+	// session moving between shards mid-count cannot be counted twice.
+	held := func() int {
+		n := 0
+		for i := range client.pool.shards {
+			client.pool.shards[i].mu.Lock()
+			n += len(client.pool.shards[i].m)
+		}
+		for i := range client.pool.shards {
+			client.pool.shards[i].mu.Unlock()
+		}
+		return n
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := client.PingContext(ctx, addrs[(w+i)%len(addrs)]); err != nil {
+					t.Errorf("worker %d ping %d: %v", w, i, err)
+					return
+				}
+				if n := held(); n > slots {
+					t.Errorf("pool holds %d sessions, cap %d", n, slots)
+					return
+				}
+				if i%5 == 0 {
+					time.Sleep(25 * time.Millisecond) // let sessions idle out
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	t.Logf("counters: %s", counters)
 }
 
 // TestPoolClosedIsTerminal verifies exchanges racing Close fail with the
@@ -336,7 +457,7 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 	mem := transport.NewMem()
 	server := startPingServer(t, mem)
 
-	p := newPool(mem, PoolConfig{}, nil, nil)
+	p := newPool(mem, defaultPoolIdleTimeout, nil, nil)
 	ctx := context.Background()
 	if _, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -70,7 +71,7 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 	defer keeper.Close()
 
 	for _, nd := range []*Node{dead, keeper} {
-		if err := nd.RegisterWith(target.Addr()); err != nil {
+		if err := nd.RegisterWithContext(context.Background(), target.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +87,7 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 		t.Fatalf("registry after lapse = %v, want only keeper", reg)
 	}
 	// ...and the LDT fan-out sweeps it out instead of pushing to it.
-	if err := target.UpdateRegistry(); err != nil {
+	if err := target.UpdateRegistryContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctrs.Get("registry.expired"); got != 1 {
@@ -112,11 +113,11 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	if err := late.RegisterWith(target.Addr()); err != nil {
+	if err := late.RegisterWithContext(context.Background(), target.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if err := late.RegisterWith(target.Addr()); err != nil { // renewal resets the clock
+	if err := late.RegisterWithContext(context.Background(), target.Addr()); err != nil { // renewal resets the clock
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // 200ms after first register, 100ms after renewal
@@ -148,7 +149,7 @@ func TestMaintenanceSweepsRegistry(t *testing.T) {
 	if err := ghost.Start(""); err != nil {
 		t.Fatal(err)
 	}
-	if err := ghost.RegisterWith(target.Addr()); err != nil {
+	if err := ghost.RegisterWithContext(context.Background(), target.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ghost.Close()

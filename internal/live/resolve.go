@@ -35,25 +35,6 @@ import (
 	"bristle/internal/wire"
 )
 
-// CacheConfig tunes the node's location cache (the resolve hot path).
-// The zero value enables the cache with defaults; set Disabled to make
-// every Resolve a network discovery.
-type CacheConfig struct {
-	// Disabled turns the cache off entirely.
-	Disabled bool
-	// Shards is the number of independently locked cache segments
-	// (rounded up to a power of two). Default 16.
-	Shards int
-	// MaxEntries bounds the cache across all shards. Default 4096.
-	MaxEntries int
-	// NegativeTTL is how long a "no record" discovery answer suppresses
-	// repeat lookups for the same key. Default 1s.
-	NegativeTTL time.Duration
-	// StaleWindow is how long past its lease an entry may still be served
-	// while a background refresh runs. Default 30s.
-	StaleWindow time.Duration
-}
-
 // ResolveContext resolves key's current address, cache first. A fresh
 // lease answers immediately; a stale one answers while a background
 // refresh re-resolves; a cache miss goes to the network through a
@@ -61,9 +42,6 @@ type CacheConfig struct {
 // context bounds only this caller's wait — an in-flight discovery keeps
 // running for its other waiters.
 func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, error) {
-	if n.loc == nil {
-		return n.DiscoverContext(ctx, key)
-	}
 	addr, state := n.loc.Lookup(key)
 	switch state {
 	case loccache.Fresh:
@@ -152,9 +130,6 @@ func (n *Node) launchRefresh(key hashkey.Key) bool {
 // path keeps answering from fresh leases. Returns how many refresh
 // flights were started.
 func (n *Node) refreshExpiring(topK int, window time.Duration) int {
-	if n.loc == nil {
-		return 0
-	}
 	started := 0
 	for _, cand := range n.loc.ExpiringSoon(topK, window) {
 		if n.launchRefresh(cand.Key) {
@@ -174,9 +149,7 @@ func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, er
 	if err != nil {
 		return "", err
 	}
-	if n.loc != nil {
-		n.loc.PutEpoch(key, addr, ttl, epoch)
-	}
+	n.loc.PutEpoch(key, addr, ttl, epoch)
 	return addr, nil
 }
 

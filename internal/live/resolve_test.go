@@ -37,7 +37,7 @@ func resolveCluster(t *testing.T, servers int) (client *Node, cluster []*Node, c
 	}
 	all = append(all, client)
 	for _, nd := range all[1:] {
-		if err := nd.JoinVia(all[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), all[0].Addr()); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestDiscoveredAddressGoesStale(t *testing.T) {
 	}
 	defer watcher.Close()
 	for _, nd := range []*Node{mob, watcher} {
-		if err := nd.JoinVia(server.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), server.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func TestMaintenanceRefresherKeepsLeaseFresh(t *testing.T) {
 	}
 	defer watcher.Close()
 	for _, nd := range []*Node{mob, watcher} {
-		if err := nd.JoinVia(server.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), server.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,41 +447,4 @@ func TestResolveConcurrentKeysRaceClean(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestResolveWithCacheDisabled: WithoutResolveCache degrades Resolve to
-// plain network discovery.
-func TestResolveWithCacheDisabled(t *testing.T) {
-	mem := transport.NewMem()
-	ctrs := metrics.NewCounters()
-	server := NewNode(Config{Name: "server", Capacity: 3}, mem)
-	if err := server.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	client, err := New("client", mem, WithoutResolveCache(), WithCounters(ctrs), WithRequestTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.JoinVia(server.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if addr, err := client.Resolve(server.Key()); err != nil || addr != server.Addr() {
-			t.Fatalf("resolve %d: %q %v", i, addr, err)
-		}
-	}
-	if _, ok := client.CachedAddr(server.Key()); ok {
-		t.Fatal("disabled cache still cached")
-	}
-	if got := ctrs.Get("loccache.hit"); got != 0 {
-		t.Fatalf("loccache.hit = %d with cache disabled", got)
-	}
 }

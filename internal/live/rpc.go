@@ -7,11 +7,10 @@ package live
 // fast instead of burning a timeout, until a probe succeeds (§2.3.2's
 // graceful degradation, applied to the transport itself).
 //
-// Exchanges ride the multiplexed connection pool (pool.go) when one is
-// configured: one long-lived connection per peer, demultiplexed by
-// sequence number, with a transparent fallback to a one-shot dial when
-// the pool is saturated or disabled. Every exchange is bounded by the
-// caller's context on top of the per-attempt RequestTimeout.
+// Every exchange rides the multiplexed connection pool (pool.go): one
+// long-lived connection per peer, demultiplexed by sequence number. Every
+// exchange is bounded by the caller's context on top of the per-attempt
+// RequestTimeout.
 
 import (
 	"context"
@@ -276,68 +275,21 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// attempt runs a single exchange and, on success, folds its measured
-// round-trip time into addr's RTT estimator (rtt.go) — proximity data
-// comes for free with the traffic the node already sends, never from
-// extra probes. Failures feed nothing: a timeout's duration measures
-// the timeout, not the link.
+// attempt runs a single pooled exchange, bounded by min(ctx,
+// RequestTimeout), and on success folds its measured round-trip time
+// into addr's RTT estimator (rtt.go) — proximity data comes for free
+// with the traffic the node already sends, never from extra probes.
+// Failures feed nothing: a timeout's duration measures the timeout, not
+// the link.
 func (n *Node) attempt(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
+	actx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
+	defer cancel()
 	start := time.Now()
-	resp, err := n.attemptOnce(ctx, addr, m)
+	resp, err := n.pool.roundTrip(actx, addr, m)
 	if err == nil {
 		n.rtt.observe(addr, time.Since(start))
 	}
 	return resp, err
-}
-
-// attemptOnce runs a single exchange, bounded by min(ctx, RequestTimeout).
-// With a pool, the exchange is multiplexed over addr's shared connection;
-// a saturated pool falls back to a one-shot dial for just this exchange.
-func (n *Node) attemptOnce(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
-	actx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-	defer cancel()
-	if p := n.pool; p != nil {
-		resp, err := p.roundTrip(actx, addr, m)
-		if !errors.Is(err, errPoolSaturated) {
-			return resp, err
-		}
-		n.count("pool.fallbacks")
-	}
-	return n.attemptDial(actx, addr, m)
-}
-
-// attemptDial is the unpooled path: dial, send, await the correlated
-// reply, close. The context bounds the dial and — via the socket deadline
-// — the exchange itself.
-func (n *Node) attemptDial(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
-	conn, err := transport.DialContext(ctx, n.tr, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	// A cancellation (not just a deadline) must also unblock Recv: force
-	// the socket deadline into the past the moment ctx fires.
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	seq := n.seq.Add(1)
-	m.Seq = seq
-	if err := conn.Send(m); err != nil {
-		return nil, err
-	}
-	for {
-		resp, err := conn.Recv()
-		if err != nil {
-			return nil, err
-		}
-		// A duplicated request frame makes the server answer twice; skip
-		// anything that does not correlate with this exchange.
-		if resp.Seq == seq {
-			return resp, nil
-		}
-	}
 }
 
 // backoff returns the pause before the attempt-th retry: full jitter over
@@ -371,20 +323,5 @@ func (n *Node) oneWay(ctx context.Context, addr string, m *wire.Message) error {
 func (n *Node) oneWaySend(ctx context.Context, addr string, m *wire.Message) error {
 	actx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
 	defer cancel()
-	if p := n.pool; p != nil {
-		err := p.send(actx, addr, m)
-		if !errors.Is(err, errPoolSaturated) {
-			return err
-		}
-		n.count("pool.fallbacks")
-	}
-	conn, err := transport.DialContext(actx, n.tr, addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if dl, ok := actx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	return conn.Send(m)
+	return n.pool.send(actx, addr, m)
 }

@@ -255,12 +255,10 @@ func (n *Node) handleUpdate(m *wire.Message) {
 	}
 	n.members.update(m.Self)
 	n.count("updates.applied")
-	if n.loc != nil {
-		// Epoch-aware write-through: belt and braces under the epochTable
-		// guard — a concurrent discover fill for the same key races this
-		// write, and the cache's own newest-epoch-wins breaks the tie.
-		n.loc.PutEpoch(m.Self.Key, m.Self.Addr, time.Duration(m.Self.TTLMilli)*time.Millisecond, m.Self.Epoch)
-	}
+	// Epoch-aware write-through: belt and braces under the epochTable
+	// guard — a concurrent discover fill for the same key races this
+	// write, and the cache's own newest-epoch-wins breaks the tie.
+	n.loc.PutEpoch(m.Self.Key, m.Self.Addr, time.Duration(m.Self.TTLMilli)*time.Millisecond, m.Self.Epoch)
 	select {
 	case n.updates <- Update{Key: m.Self.Key, Addr: m.Self.Addr}:
 	default:

@@ -53,7 +53,7 @@ func TestShardedNodeStressRace(t *testing.T) {
 		}
 	}()
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(started[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), started[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestShardedNodeStressRace(t *testing.T) {
 	if err := mob.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.RegisterWith(mob.Addr()); err != nil {
+	if err := client.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
 

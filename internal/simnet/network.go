@@ -8,7 +8,7 @@ import (
 )
 
 // HostID identifies an end host (an overlay node's machine). Hosts are
-// dense: 0..NumHosts-1.
+// numbered densely from 0 in attach order.
 type HostID int32
 
 // NoHost is the sentinel for "no host".
@@ -84,9 +84,6 @@ func NewNetwork(g *topology.Graph, sim *Simulator) *Network {
 		LatencyScale: 1e-3,
 	}
 }
-
-// NumHosts returns the number of hosts ever attached (including departed).
-func (n *Network) NumHosts() int { return len(n.hosts) }
 
 // AttachHost creates a new host on the given router and returns its ID.
 func (n *Network) AttachHost(r topology.RouterID) HostID {

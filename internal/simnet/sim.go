@@ -110,9 +110,6 @@ func (s *Simulator) RunAll() uint64 {
 // Pending returns the number of queued events.
 func (s *Simulator) Pending() int { return len(s.events) }
 
-// Executed returns the total number of events run so far.
-func (s *Simulator) Executed() uint64 { return s.ran }
-
 // String summarizes simulator state for logs.
 func (s *Simulator) String() string {
 	return fmt.Sprintf("simnet.Simulator{now=%v pending=%d ran=%d}", s.now, len(s.events), s.ran)
